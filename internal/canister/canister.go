@@ -27,6 +27,7 @@ import (
 	"icbtc/internal/btc"
 	"icbtc/internal/chain"
 	"icbtc/internal/ic"
+	"icbtc/internal/ingest"
 	"icbtc/internal/utxo"
 )
 
@@ -128,6 +129,11 @@ type BitcoinCanister struct {
 	// scriptIDs memoizes script → address-key derivations shared by delta
 	// building and owner resolution.
 	scriptIDs *btc.ScriptIDCache
+	// prep holds the pipelined write path's per-worker script-ID caches
+	// across payloads, so a catch-up batch does not re-derive the IDs of
+	// addresses earlier batches already saw. A pure cache: not snapshotted,
+	// rebuilt when the worker count changes (see preparer).
+	prep *ingest.Preparer
 
 	// queryMu guards the per-replica read caches (balanceCache, feeCache).
 	// On the authoritative canister everything runs on the simulation
@@ -316,13 +322,7 @@ func (c *BitcoinCanister) ProcessPayload(ctx *ic.CallContext, payload any) error
 	if !ok {
 		return fmt.Errorf("canister: unexpected payload type %T", payload)
 	}
-	start := c.met.reg.Now()
-	defer func() {
-		c.met.payloads.Inc()
-		d := c.met.reg.Now().Sub(start)
-		c.met.payloadDuration.ObserveDuration(d)
-		c.met.reg.Trace("canister.payload", d.String())
-	}()
+	defer c.countPayload()()
 	c.ageOutgoing()
 	c.adapterHealth = resp.Health
 	// Anything in the payload can change the considered chain (new blocks,
@@ -337,8 +337,7 @@ func (c *BitcoinCanister) ProcessPayload(ctx *ic.CallContext, payload any) error
 	// while the next block is δ-stable.
 	for _, bw := range resp.Blocks {
 		if err := c.acceptBlock(ctx, bw, nil); err != nil {
-			c.rejectedBlocks++
-			c.met.blocksRejected.Inc()
+			c.rejectBlock()
 			continue
 		}
 		c.advanceAnchor(ctx)
@@ -347,14 +346,39 @@ func (c *BitcoinCanister) ProcessPayload(ctx *ic.CallContext, payload any) error
 	for i := range resp.Next {
 		h := resp.Next[i]
 		if err := c.acceptHeader(ctx, h); err != nil {
-			c.rejectedHeaders++
-			c.met.headersRejected.Inc()
+			c.rejectHeader()
 		}
 	}
 	// Lines 21-22: recompute the synced flag.
 	c.updateSynced()
 	c.flushFrame()
 	return nil
+}
+
+// countPayload starts timing one payload on the registry clock; the
+// returned function counts it. Every entry point of Algorithm 2 (serial,
+// pipelined, wire catch-up) defers it, and counts refusals through
+// rejectBlock and rejectHeader, so the counters agree across paths.
+func (c *BitcoinCanister) countPayload() func() {
+	start := c.met.reg.Now()
+	return func() {
+		c.met.payloads.Inc()
+		d := c.met.reg.Now().Sub(start)
+		c.met.payloadDuration.ObserveDuration(d)
+		c.met.reg.Trace("canister.payload", d.String())
+	}
+}
+
+// rejectBlock counts a refused block in the snapshot stats and telemetry.
+func (c *BitcoinCanister) rejectBlock() {
+	c.rejectedBlocks++
+	c.met.blocksRejected.Inc()
+}
+
+// rejectHeader counts a refused header in the snapshot stats and telemetry.
+func (c *BitcoinCanister) rejectHeader() {
+	c.rejectedHeaders++
+	c.met.headersRejected.Inc()
 }
 
 // acceptHeader validates a header against the tree (the same §III-B checks

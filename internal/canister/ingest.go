@@ -53,6 +53,15 @@ func (c *BitcoinCanister) predictHeights(hashes, prevs []btc.Hash) []int64 {
 	return heights
 }
 
+// preparer returns the canister's block Preparer for cfg's worker count,
+// building it on first use and whenever the count changes.
+func (c *BitcoinCanister) preparer(cfg ingest.Config) *ingest.Preparer {
+	if workers := cfg.NormalizedWorkers(); c.prep == nil || c.prep.Workers() != workers {
+		c.prep = ingest.NewPreparer(c.cfg.Network, workers)
+	}
+	return c.prep
+}
+
 // ProcessPayloadPipelined is ProcessPayload with the per-block CPU work
 // fanned out across cfg.Workers: behaviorally identical (same accept and
 // reject decisions, same metering, same stream frames, same state) for any
@@ -66,6 +75,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 	if cfg.Obs == nil {
 		cfg.Obs = c.met.reg // pipeline stages land in the canister registry
 	}
+	defer c.countPayload()()
 	c.ageOutgoing()
 	c.adapterHealth = resp.Health
 	if len(resp.Blocks) > 0 || len(resp.Next) > 0 {
@@ -80,8 +90,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 			prevs[i] = resp.Blocks[i].Header.PrevBlock
 		}
 		heights := c.predictHeights(hashes, prevs)
-		workers := cfg.NormalizedWorkers()
-		prep := ingest.NewPreparer(c.cfg.Network, workers)
+		prep := c.preparer(cfg)
 		err := ingest.Map(len(resp.Blocks), cfg,
 			func(worker, i int) ingest.PreparedBlock {
 				if resp.Blocks[i].Block == nil {
@@ -91,7 +100,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 			},
 			func(i int, pb ingest.PreparedBlock) error {
 				if err := c.acceptBlock(ctx, resp.Blocks[i], pb.Delta); err != nil {
-					c.rejectedBlocks++
+					c.rejectBlock()
 					return nil
 				}
 				c.advanceAnchor(ctx)
@@ -103,7 +112,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 	}
 	for i := range resp.Next {
 		if err := c.acceptHeader(ctx, resp.Next[i]); err != nil {
-			c.rejectedHeaders++
+			c.rejectHeader()
 		}
 	}
 	c.updateSynced()
@@ -125,6 +134,7 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 	if cfg.Obs == nil {
 		cfg.Obs = c.met.reg
 	}
+	defer c.countPayload()()
 	c.ageOutgoing()
 	c.invalidateReadCaches()
 
@@ -148,8 +158,7 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 	}
 	heights := c.predictHeights(hashes, prevs)
 
-	workers := cfg.NormalizedWorkers()
-	prep := ingest.NewPreparer(c.cfg.Network, workers)
+	prep := c.preparer(cfg)
 	err := ingest.Map(len(wire), cfg,
 		func(worker, i int) ingest.PreparedBlock {
 			if bad[i] {
@@ -160,13 +169,13 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 		func(i int, pb ingest.PreparedBlock) error {
 			if pb.Err != nil || pb.Block == nil {
 				stats.Rejected++
-				c.rejectedBlocks++
+				c.rejectBlock()
 				return nil
 			}
 			bw := adapter.BlockWithHeader{Block: pb.Block, Header: pb.Block.Header}
 			if err := c.acceptBlock(ctx, bw, pb.Delta); err != nil {
 				stats.Rejected++
-				c.rejectedBlocks++
+				c.rejectBlock()
 				return nil
 			}
 			stats.Accepted++

@@ -2,6 +2,9 @@ package canister
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"icbtc/internal/adapter"
@@ -235,5 +238,93 @@ func TestFramePrepareEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotOf(t, plain), snapshotOf(t, authority)) {
 		t.Fatal("replica did not converge to the authority")
+	}
+}
+
+// canisterCounters renders every canister_ counter and histogram of c's
+// registry, sorted, one per line, for whole-set comparison.
+func canisterCounters(c *BitcoinCanister) string {
+	snap := c.Metrics().Snapshot()
+	var lines []string
+	for _, p := range snap.Counters {
+		if strings.HasPrefix(p.Name, "canister_") {
+			lines = append(lines, fmt.Sprintf("%s %d", p.Name, p.Value))
+		}
+	}
+	for _, h := range snap.Histograms {
+		if strings.HasPrefix(h.Name, "canister_") {
+			lines = append(lines, fmt.Sprintf("%s count=%d sum=%d buckets=%v", h.Name, h.Count, h.Sum, h.Counts))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestPayloadCountersAgreeAcrossEntryPoints feeds one payload — valid
+// blocks, a merkle-tampered block, a block whose header fails validation,
+// and an invalid upcoming header — through ProcessPayload,
+// ProcessPayloadPipelined and SyncWire, and requires the same canister
+// counter set (payloads, payload durations on the registry clock, blocks
+// ingested and rejected, headers rejected) from each. SyncWire carries no
+// upcoming headers, so it is compared with a serial run of the blocks
+// alone.
+func TestPayloadCountersAgreeAcrossEntryPoints(t *testing.T) {
+	r := newRig(t, 13)
+	_, blocks := chainWire(t, r, 3, 3)
+
+	// Each invalid item extends blocks[1], which the payload attaches, so
+	// it fails its own check rather than as an orphan.
+	tampered := &btc.Block{Header: blocks[2].Header, Transactions: blocks[2].Transactions}
+	tampered.Header.MerkleRoot = btc.DoubleSHA256([]byte("wrong"))
+	badBits := &btc.Block{Header: blocks[2].Header, Transactions: blocks[2].Transactions}
+	badBits.Header.Bits ^= 1
+	badHeader := blocks[2].Header
+	badHeader.Bits ^= 2
+
+	batch := []*btc.Block{blocks[0], blocks[1], tampered, badBits}
+	var withBlocks []adapter.BlockWithHeader
+	var wire [][]byte
+	for _, b := range batch {
+		withBlocks = append(withBlocks, adapter.BlockWithHeader{Block: b, Header: b.Header})
+		wire = append(wire, b.Bytes())
+	}
+	full := adapter.Response{Blocks: withBlocks, Next: []btc.BlockHeader{badHeader}}
+
+	fresh := func() *BitcoinCanister {
+		c := New(DefaultConfig(btc.Regtest))
+		c.Metrics().SetClock(r.sched.Now)
+		return c
+	}
+	serial, pipelined := fresh(), fresh()
+	if err := serial.ProcessPayload(r.ctx(), full); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipelined.ProcessPayloadPipelined(r.ctx(), full, ingest.Config{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := canisterCounters(serial)
+	for _, line := range []string{
+		"canister_payloads_total 1",
+		"canister_blocks_ingested_total 2",
+		"canister_blocks_rejected_total 2",
+		"canister_headers_rejected_total 1",
+	} {
+		if !strings.Contains(want, line+"\n") {
+			t.Fatalf("serial counters lack %q:\n%s", line, want)
+		}
+	}
+	if got := canisterCounters(pipelined); got != want {
+		t.Fatalf("ProcessPayloadPipelined counters:\n%s\nProcessPayload counters:\n%s", got, want)
+	}
+
+	serialBlocks, synced := fresh(), fresh()
+	if err := serialBlocks.ProcessPayload(r.ctx(), adapter.Response{Blocks: withBlocks}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := synced.SyncWire(r.ctx(), wire, ingest.Config{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canisterCounters(synced), canisterCounters(serialBlocks); got != want {
+		t.Fatalf("SyncWire counters:\n%s\nProcessPayload counters:\n%s", got, want)
 	}
 }

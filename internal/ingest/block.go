@@ -45,6 +45,9 @@ func NewPreparer(network btc.Network, workers int) *Preparer {
 	return p
 }
 
+// Workers returns the worker count the Preparer holds caches for.
+func (p *Preparer) Workers() int { return len(p.caches) }
+
 // Prepare runs the CPU-bound prework for an already-parsed block: seal the
 // txid memo, compute the Merkle root, and (height >= 0) prebuild the
 // delta. worker selects the worker-local cache and must be the index Map

@@ -232,7 +232,7 @@ func TestApplyBlockIngestEquivalence(t *testing.T) {
 
 // TestApplyBlockMidBlockFailure is the satellite regression: a block that
 // fails mid-way (earlier transactions already created outputs and spent
-// inputs) must leave the set — outpoint map, address index, interned
+// inputs) must leave the set — outpoint table, address index, interned
 // scripts, balances — byte-identical to the pre-apply state, with no
 // ScriptID re-derivation on any rollback path (there is none to take).
 func TestApplyBlockMidBlockFailure(t *testing.T) {
@@ -360,17 +360,17 @@ func TestBucketInsertBatch(t *testing.T) {
 		var a, b bucket
 		n := rng.Intn(30)
 		for i := 0; i < n; i++ {
-			u := UTXO{Height: int64(rng.Intn(6)), Value: int64(i)}
+			u := record{Height: int64(rng.Intn(6)), Value: int64(i)}
 			rng.Read(u.OutPoint.TxID[:])
 			u.OutPoint.Vout = uint32(rng.Intn(3))
 			a.insert(u)
 			b.insert(u)
 		}
 		m := 1 + rng.Intn(20)
-		batch := make([]UTXO, 0, m)
+		batch := make([]record, 0, m)
 		h := int64(rng.Intn(8)) // often above existing heights, sometimes interleaved
 		for i := 0; i < m; i++ {
-			u := UTXO{Height: h, Value: int64(100 + i)}
+			u := record{Height: h, Value: int64(100 + i)}
 			if rng.Intn(4) == 0 {
 				u.Height = int64(rng.Intn(8))
 			}
@@ -397,7 +397,7 @@ func TestBucketInsertBatch(t *testing.T) {
 			continue
 		}
 		// insertBatch wants storage order (height ascending).
-		sorted := append([]UTXO(nil), batch...)
+		sorted := append([]record(nil), batch...)
 		for i := 1; i < len(sorted); i++ {
 			for j := i; j > 0 && storageLess(&sorted[j], &sorted[j-1]); j-- {
 				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]

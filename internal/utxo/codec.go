@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/statecodec"
@@ -21,10 +22,11 @@ import (
 //     encode→decode→encode is byte-stable.
 //   - O(bytes) restore: every entry is written with its interned-script
 //     reference and every script with its memoized address key, so decoding
-//     performs no address decoding, no ScriptID hashing, and no sorting.
-//     Bucket slices are rebuilt by appending in stored (already canonical)
-//     order; running balances and the byte estimate are accumulated in the
-//     same pass.
+//     performs no address decoding, no ScriptID hashing, and no canonical
+//     re-sort. A script's position in the written table becomes its ID.
+//     Bucket records are decoded in stored (already canonical) order with
+//     running balances accumulated in the same pass; the outpoint table,
+//     reference counts and byte estimate are then filled from the records.
 //
 // Snapshots carry a checksum (see statecodec), so a decoder failure means a
 // framing bug or version skew, not silent corruption. Ordering invariants
@@ -55,26 +57,25 @@ const (
 // EncodeTo appends the set's deterministic encoding to e.
 func (s *Set) EncodeTo(e *statecodec.Encoder) {
 	e.U8(uint8(s.network))
-	// Total entry count up front so decode can pre-size the outpoint map:
-	// growing a 100k-entry map incrementally re-hashes every entry several
-	// times and dominated restore time before this hint existed.
-	e.Uvarint(uint64(len(s.byOutPoint)))
+	// Total entry count up front so decode can pre-size the outpoint table.
+	e.Uvarint(uint64(s.outpoints.len()))
 
 	// Interned-script table, sorted by script bytes. Each script carries its
-	// memoized address key so restore never re-derives a ScriptID.
-	scripts := make([]*internedScript, 0, len(s.interned))
-	for _, sc := range s.interned {
-		scripts = append(scripts, sc)
+	// memoized address key so restore never re-derives a ScriptID. index
+	// maps a script ID to its position in the written table.
+	order := make([]uint32, 0, len(s.scriptIDs))
+	for _, sid := range s.scriptIDs {
+		order = append(order, sid)
 	}
-	sort.Slice(scripts, func(i, j int) bool {
-		return bytes.Compare(scripts[i].bytes, scripts[j].bytes) < 0
+	sort.Slice(order, func(i, j int) bool {
+		return bytes.Compare(s.scripts[order[i]].bytes, s.scripts[order[j]].bytes) < 0
 	})
-	index := make(map[*internedScript]uint64, len(scripts))
-	e.Uvarint(uint64(len(scripts)))
-	for i, sc := range scripts {
-		index[sc] = uint64(i)
-		e.Bytes(sc.bytes)
-		e.String(sc.key)
+	index := make([]uint32, len(s.scripts))
+	e.Uvarint(uint64(len(order)))
+	for i, sid := range order {
+		index[sid] = uint32(i)
+		e.Bytes(s.scripts[sid].bytes)
+		e.String(s.scripts[sid].key)
 	}
 
 	// Address buckets, sorted by key; entries in maintained storage order
@@ -91,58 +92,37 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 		e.String(k)
 		e.Uvarint(uint64(len(b.asc)))
 		for i := range b.asc {
-			u := &b.asc[i]
-			e.Raw(u.OutPoint.TxID[:])
-			e.U32(u.OutPoint.Vout)
-			e.I64(u.Value)
-			e.I64(u.Height)
-			e.Uvarint(index[s.byOutPoint[u.OutPoint].script])
+			r := &b.asc[i]
+			e.Raw(r.OutPoint.TxID[:])
+			e.U32(r.OutPoint.Vout)
+			e.I64(r.Value)
+			e.I64(r.Height)
+			e.Uvarint(uint64(index[r.sid]))
 		}
 	}
 }
 
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
-// snapshot bytes: scripts are interned straight from the stored table (keys
-// included), bucket slices are appended in stored order, and the outpoint
-// map, reference counts, running balances, and byte estimate are rebuilt in
-// the same single pass.
+// snapshot bytes: the stored script table becomes the dense script-ID table
+// as is (a script's ID is its position, keys included), bucket records are
+// appended in stored order, and the outpoint table, reference counts,
+// running balances, and byte estimate are rebuilt in the same single pass.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	network := btc.Network(d.U8())
 	total := d.CountFor(maxSnapshotEntries, setEntryBytes)
-
 	nScripts := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
-	// Pre-size every map from the stored counts — incremental growth would
-	// re-hash the whole table log(n) times and dominate restore.
-	s := &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry, total),
-		byAddress:  make(map[string]*bucket, nScripts),
-		interned:   make(map[string]*internedScript, nScripts),
-	}
-	scripts := make([]*internedScript, 0, nScripts)
-	for i := 0; i < nScripts; i++ {
-		raw := d.Bytes(maxSnapshotScriptLen)
-		key := d.String(maxSnapshotKeyLen)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		sc := &internedScript{bytes: cp, key: key}
-		before := len(s.interned)
-		s.interned[string(cp)] = sc
-		if len(s.interned) == before {
-			return nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
-		}
-		scripts = append(scripts, sc)
+	s := newDecodedSet(network, total, nScripts)
+	var err error
+	if s.scripts, s.scriptIDs, err = decodeScripts(d, nScripts); err != nil {
+		return nil, err
 	}
 
 	nBuckets := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
-	// One arena backs every bucket's entry slice: a single allocation and
+	// One arena backs every bucket's record slice: a single allocation and
 	// one contiguous zeroing instead of per-bucket garbage. Buckets take
 	// capacity-limited sub-slices, so a post-restore insert that outgrows
 	// its bucket reallocates that bucket normally.
-	arena := make([]UTXO, 0, total)
+	arena := make([]record, total)
 	decoded := 0
 	for i := 0; i < nBuckets; i++ {
 		key := d.String(maxSnapshotKeyLen)
@@ -156,87 +136,128 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 		if decoded+n > total {
 			return nil, fmt.Errorf("utxo: snapshot bucket %q overflows declared entry count %d", key, total)
 		}
-		b := &bucket{asc: arena[decoded : decoded : decoded+n]}
-		for j := 0; j < n; j++ {
-			// One bounds-checked read covers the entry's fixed-width fields
-			// (txid, vout, value, height); only the script index varints.
-			fields := d.Raw(btc.HashSize + 4 + 8 + 8)
-			si := d.Uvarint()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			var op btc.OutPoint
-			copy(op.TxID[:], fields[:btc.HashSize])
-			op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
-			value := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
-			height := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-			if si >= uint64(len(scripts)) {
-				return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
-			}
-			sc := scripts[si]
-			u := UTXO{OutPoint: op, Value: value, PkScript: sc.bytes, Height: height}
-			if j > 0 && !storageLess(&b.asc[j-1], &u) {
-				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
-			}
-			before := len(s.byOutPoint)
-			s.byOutPoint[op] = entry{value: value, height: height, script: sc}
-			if len(s.byOutPoint) == before {
-				return nil, fmt.Errorf("utxo: snapshot outpoint %s duplicated", op)
-			}
-			sc.refs++
-			b.asc = append(b.asc, u)
-			b.balance += value
-			s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+		b := &bucket{asc: arena[decoded : decoded+n : decoded+n]}
+		if err := decodeBucket(d, key, b, nScripts); err != nil {
+			return nil, err
 		}
-		decoded += len(b.asc)
-		if len(b.asc) > 0 {
+		if n > 0 {
 			s.byAddress[key] = b
 		}
+		decoded += n
 	}
 	if decoded != total {
 		return nil, fmt.Errorf("utxo: snapshot declared %d entries, decoded %d", total, decoded)
 	}
-	for i, sc := range scripts {
-		if sc.refs == 0 {
-			return nil, fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
-		}
+	if err := s.finishDecode(arena); err != nil {
+		return nil, err
 	}
 	return s, d.Err()
 }
 
-// --- Sharded parallel decode (fast-sync hydration) ---
-
-// scriptSpan / bucketSpan record the byte windows a scan pass found, so
-// shard workers can decode them independently.
-type scriptSpan struct {
-	start, end int
+// newDecodedSet returns an empty set pre-sized from a snapshot's counts:
+// incremental growth would re-place the whole outpoint table log(n) times
+// and dominate restore. (maxSnapshotEntries keeps script IDs in uint32.)
+func newDecodedSet(network btc.Network, total, nScripts int) *Set {
+	return &Set{
+		network:   network,
+		outpoints: newOpTable(total),
+		byAddress: make(map[string]*bucket, nScripts),
+	}
 }
 
+// decodeScripts reads the stored script table into a dense script-ID table
+// and its by-bytes index.
+func decodeScripts(d *statecodec.Decoder, n int) ([]internedScript, map[string]uint32, error) {
+	scripts := make([]internedScript, 0, n)
+	ids := make(map[string]uint32, n)
+	for i := 0; i < n; i++ {
+		raw := d.Bytes(maxSnapshotScriptLen)
+		key := d.String(maxSnapshotKeyLen)
+		if d.Err() != nil {
+			return nil, nil, d.Err()
+		}
+		cp := make([]byte, len(raw))
+		copy(cp, raw)
+		if _, dup := ids[string(cp)]; dup {
+			return nil, nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
+		}
+		ids[string(cp)] = uint32(i)
+		scripts = append(scripts, internedScript{bytes: cp, key: key})
+	}
+	return scripts, ids, nil
+}
+
+// decodeBucket fills b.asc, whose length is the bucket's entry count, from
+// the stored records, accumulating the running balance and verifying the
+// storage order and every script index against the table size.
+func decodeBucket(d *statecodec.Decoder, key string, b *bucket, nScripts int) error {
+	for j := range b.asc {
+		// One bounds-checked read covers the entry's fixed-width fields
+		// (txid, vout, value, height); only the script index varints.
+		fields := d.Raw(btc.HashSize + 4 + 8 + 8)
+		si := d.Uvarint()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if si >= uint64(nScripts) {
+			return fmt.Errorf("utxo: snapshot script index %d out of range", si)
+		}
+		r := &b.asc[j]
+		copy(r.OutPoint.TxID[:], fields[:btc.HashSize])
+		r.OutPoint.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
+		r.Value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
+		r.Height = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
+		r.sid = uint32(si)
+		if j > 0 && !storageLess(&b.asc[j-1], r) {
+			return fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
+		}
+		b.balance += r.Value
+	}
+	return nil
+}
+
+// finishDecode indexes every decoded record (the arena all buckets slice)
+// in the outpoint table, rejecting a duplicate outpoint, counts references
+// per script, rejecting a script no entry references (a set never holds
+// one), and computes the byte estimate from the reference counts.
+func (s *Set) finishDecode(arena []record) error {
+	if op, ok := s.outpoints.fill(arena); !ok {
+		return fmt.Errorf("utxo: snapshot outpoint %s duplicated", op)
+	}
+	for i := range arena {
+		s.scripts[arena[i].sid].refs++
+	}
+	s.approxBytes = int64(len(arena)) * perUTXOOverhead
+	for i := range s.scripts {
+		sc := &s.scripts[i]
+		if sc.refs == 0 {
+			return fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
+		}
+		s.approxBytes += int64(sc.refs) * int64(len(sc.bytes))
+	}
+	return nil
+}
+
+// --- Sharded parallel decode (fast-sync hydration) ---
+
+// bucketSpan records the byte window a scan pass found for one bucket, so
+// shard workers can decode buckets independently.
 type bucketSpan struct {
 	key        string
 	n          int
 	start, end int // entry bytes window
-	arenaOff   int // the bucket's slot in the shared entry arena
-}
-
-// shardResult is one shard's decoded buckets: the bucket structs (entries
-// appended into disjoint arena sub-slices, balances accumulated, order
-// verified) plus each entry's script index for the sequential merge.
-type shardResult struct {
-	buckets []*bucket
-	scIdx   [][]uint32
-	err     error
+	arenaOff   int // the bucket's slot in the shared record arena
 }
 
 // DecodeSetParallel reads a set encoded by EncodeTo using up to `workers`
 // goroutines: a cheap scan pass records the script-table and bucket byte
-// windows, the script table and bucket shards decode concurrently, and a
-// sequential merge — running as shards complete, in deterministic shard
-// order — rebuilds the outpoint map, reference counts, and byte estimate.
-// The format is unchanged (same bytes DecodeSet reads) and the resulting
-// set is identical to DecodeSet's; with workers <= 1 it IS DecodeSet.
+// windows, the script table and bucket shards decode concurrently, and the
+// outpoint table and reference counts are filled once every shard is in, as
+// the serial decoder fills them. The format is unchanged (same bytes
+// DecodeSet reads) and the resulting set is identical to DecodeSet's; with
+// workers <= 1 it IS DecodeSet.
 //
-// The merge preserves every structural check the serial decoder performs
+// It preserves every structural check the serial decoder performs
 // (duplicate scripts/buckets/outpoints, storage-order violations, script
 // index bounds, entry-count accounting, unreferenced scripts), so a
 // hostile snapshot is rejected either way.
@@ -250,9 +271,10 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	s := newDecodedSet(network, total, nScripts)
 
 	// Scan the script table: skip length-prefixed fields, record the window.
-	scripts := scriptSpan{start: d.Offset()}
+	scriptsStart := d.Offset()
 	for i := 0; i < nScripts; i++ {
 		d.Skip(d.Count(maxSnapshotScriptLen))
 		d.Skip(d.Count(maxSnapshotKeyLen))
@@ -260,43 +282,17 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	scripts.end = d.Offset()
-
-	// Decode the script table concurrently with the bucket scan below.
-	type scriptTable struct {
-		list     []*internedScript
-		interned map[string]*internedScript
-		err      error
-	}
-	scriptCh := make(chan scriptTable, 1)
-	sw, err := d.Window(scripts.start, scripts.end)
+	sw, err := d.Window(scriptsStart, d.Offset())
 	if err != nil {
 		return nil, err
 	}
+
+	// Decode the script table concurrently with the bucket scan below.
+	scriptErr := make(chan error, 1)
 	go func() {
-		t := scriptTable{
-			list:     make([]*internedScript, 0, nScripts),
-			interned: make(map[string]*internedScript, nScripts),
-		}
-		for i := 0; i < nScripts; i++ {
-			raw := sw.Bytes(maxSnapshotScriptLen)
-			key := sw.String(maxSnapshotKeyLen)
-			if sw.Err() != nil {
-				t.err = sw.Err()
-				break
-			}
-			cp := make([]byte, len(raw))
-			copy(cp, raw)
-			sc := &internedScript{bytes: cp, key: key}
-			before := len(t.interned)
-			t.interned[string(cp)] = sc
-			if len(t.interned) == before {
-				t.err = fmt.Errorf("utxo: snapshot script %d duplicated", i)
-				break
-			}
-			t.list = append(t.list, sc)
-		}
-		scriptCh <- t
+		var err error
+		s.scripts, s.scriptIDs, err = decodeScripts(sw, nScripts)
+		scriptErr <- err
 	}()
 
 	// Scan the bucket section: keys, counts, and entry windows. Entries are
@@ -338,133 +334,60 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		return nil, fmt.Errorf("utxo: snapshot declared %d entries, decoded %d", total, decoded)
 	}
 
-	// Partition buckets into contiguous shards balanced by entry count.
-	var shards [][]bucketSpan
+	// One arena backs every bucket's record slice, as in the serial
+	// decoder; shards fill disjoint sub-slices. Records carry script IDs,
+	// which shards bound by the declared table size, so they need not wait
+	// for the script table.
+	arena := make([]record, total)
+	buckets := make([]*bucket, len(spans))
+	for i, sp := range spans {
+		buckets[i] = &bucket{asc: arena[sp.arenaOff : sp.arenaOff+sp.n : sp.arenaOff+sp.n]}
+		if sp.n > 0 {
+			s.byAddress[sp.key] = buckets[i]
+		}
+	}
+
+	// Partition buckets into contiguous shards balanced by entry count and
+	// decode them concurrently.
 	target := (total + workers - 1) / workers
 	if target < 1 {
 		target = 1
 	}
+	var bounds []int // shard k holds buckets [bounds[k], bounds[k+1])
 	for lo := 0; lo < len(spans); {
-		hi, count := lo, 0
-		for hi < len(spans) && (count == 0 || count+spans[hi].n <= target) {
-			count += spans[hi].n
-			hi++
+		bounds = append(bounds, lo)
+		count := 0
+		for lo < len(spans) && (count == 0 || count+spans[lo].n <= target) {
+			count += spans[lo].n
+			lo++
 		}
-		shards = append(shards, spans[lo:hi])
-		lo = hi
 	}
-
-	st := <-scriptCh
-	if st.err != nil {
-		return nil, st.err
-	}
-
-	s := &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry, total),
-		byAddress:  make(map[string]*bucket, nScripts),
-		interned:   st.interned,
-	}
-	// One arena backs every bucket's entry slice, as in the serial decoder;
-	// shards fill disjoint sub-slices.
-	arena := make([]UTXO, 0, total)
-
-	results := make([]chan shardResult, len(shards))
-	for si := range shards {
-		results[si] = make(chan shardResult, 1)
-		go func(si int, part []bucketSpan) {
-			res := shardResult{
-				buckets: make([]*bucket, 0, len(part)),
-				scIdx:   make([][]uint32, 0, len(part)),
-			}
-			for _, sp := range part {
-				w, err := d.Window(sp.start, sp.end)
-				if err != nil {
-					res.err = err
-					break
+	bounds = append(bounds, len(spans))
+	errs := make([]error, len(bounds)-1)
+	var wg sync.WaitGroup
+	for k := range errs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := bounds[k]; i < bounds[k+1] && errs[k] == nil; i++ {
+				var w *statecodec.Decoder
+				if w, errs[k] = d.Window(spans[i].start, spans[i].end); errs[k] == nil {
+					errs[k] = decodeBucket(w, spans[i].key, buckets[i], nScripts)
 				}
-				b := &bucket{asc: arena[sp.arenaOff : sp.arenaOff : sp.arenaOff+sp.n]}
-				idx := make([]uint32, 0, sp.n)
-				for j := 0; j < sp.n; j++ {
-					fields := w.Raw(btc.HashSize + 4 + 8 + 8)
-					si64 := w.Uvarint()
-					if w.Err() != nil {
-						res.err = w.Err()
-						break
-					}
-					var op btc.OutPoint
-					copy(op.TxID[:], fields[:btc.HashSize])
-					op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
-					value := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
-					height := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-					if si64 >= uint64(len(st.list)) {
-						res.err = fmt.Errorf("utxo: snapshot script index %d out of range", si64)
-						break
-					}
-					sc := st.list[si64]
-					u := UTXO{OutPoint: op, Value: value, PkScript: sc.bytes, Height: height}
-					if j > 0 && !storageLess(&b.asc[j-1], &u) {
-						res.err = fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", sp.key, j)
-						break
-					}
-					b.asc = append(b.asc, u)
-					b.balance += value
-					idx = append(idx, uint32(si64))
-				}
-				if res.err != nil {
-					break
-				}
-				res.buckets = append(res.buckets, b)
-				res.scIdx = append(res.scIdx, idx)
 			}
-			results[si] <- res
-		}(si, shards[si])
+		}(k)
 	}
-
-	// Merge shards in order as they complete: the outpoint map, reference
-	// counts, and byte estimate are sequential state, so this loop is the
-	// only writer. A failed shard still drains the others before returning.
-	var firstErr error
-	for si := range shards {
-		res := <-results[si]
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue
-		}
-		for bi, sp := range shards[si] {
-			b := res.buckets[bi]
-			for j := range b.asc {
-				u := &b.asc[j]
-				sc := st.list[res.scIdx[bi][j]]
-				before := len(s.byOutPoint)
-				s.byOutPoint[u.OutPoint] = entry{value: u.Value, height: u.Height, script: sc}
-				if len(s.byOutPoint) == before {
-					firstErr = fmt.Errorf("utxo: snapshot outpoint %s duplicated", u.OutPoint)
-					break
-				}
-				sc.refs++
-				s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
-			}
-			if firstErr != nil {
-				break
-			}
-			if sp.n > 0 {
-				s.byAddress[sp.key] = b
-			}
+	wg.Wait()
+	if err := <-scriptErr; err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for i, sc := range st.list {
-		if sc.refs == 0 {
-			return nil, fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
-		}
+	if err := s.finishDecode(arena); err != nil {
+		return nil, err
 	}
 	return s, d.Err()
 }

@@ -26,7 +26,7 @@ func decodeSetParallel(t *testing.T, snap []byte, workers int) (*Set, error) {
 }
 
 // TestDecodeSetParallelEquivalence pins the sharded decoder to the serial
-// one: identical re-encoded bytes (hence identical outpoint map, interned
+// one: identical re-encoded bytes (hence identical outpoint table, interned
 // table, ordered buckets, balances, byte estimate) at every worker count,
 // on set shapes from empty to many-bucket.
 func TestDecodeSetParallelEquivalence(t *testing.T) {

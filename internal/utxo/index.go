@@ -15,19 +15,20 @@ import (
 // canonical get_utxos order (height *descending*, txid/vout ascending) is
 // streamed by walking the height groups back-to-front while emitting each
 // group forward; a running balance total makes the stable part of
-// get_balance O(1).
+// get_balance O(1). Entries are flat records (see record in set.go); the
+// iterators materialize each UTXO as they emit it.
 
 // bucket is the per-address ordered container plus its running balance.
 type bucket struct {
 	// asc is sorted by storageLess.
-	asc     []UTXO
+	asc     []record
 	balance int64
 }
 
 // storageLess is the bucket's storage order: height ascending with the
 // canonical txid/vout tie-break. Within one height group the storage order
 // IS the canonical order.
-func storageLess(a, b *UTXO) bool {
+func storageLess(a, b *record) bool {
 	if a.Height != b.Height {
 		return a.Height < b.Height
 	}
@@ -40,14 +41,14 @@ func storageLess(a, b *UTXO) bool {
 // insert places u at its ordered position. Outputs arrive overwhelmingly in
 // storage order (ascending heights, ascending vouts), so the append fast
 // path is checked before the binary search.
-func (b *bucket) insert(u UTXO) {
+func (b *bucket) insert(u record) {
 	n := len(b.asc)
 	if n == 0 || storageLess(&b.asc[n-1], &u) {
 		b.asc = append(b.asc, u)
 		return
 	}
 	i := sort.Search(n, func(i int) bool { return storageLess(&u, &b.asc[i]) })
-	b.asc = append(b.asc, UTXO{})
+	b.asc = append(b.asc, record{})
 	copy(b.asc[i+1:], b.asc[i:])
 	b.asc[i] = u
 }
@@ -57,7 +58,7 @@ func (b *bucket) insert(u UTXO) {
 // binary search plus memmove per entry, which made deep buckets quadratic
 // in the batch size. Batches from a block fold share one height, but the
 // merge handles arbitrary sorted input.
-func (b *bucket) insertBatch(us []UTXO) {
+func (b *bucket) insertBatch(us []record) {
 	old := len(b.asc)
 	if old == 0 || storageLess(&b.asc[old-1], &us[0]) {
 		// Everything lands after the existing entries — the common case:
@@ -83,14 +84,13 @@ func (b *bucket) insertBatch(us []UTXO) {
 // remove deletes the element with the given outpoint and height, reporting
 // whether it was present.
 func (b *bucket) remove(op btc.OutPoint, height int64) bool {
-	probe := UTXO{OutPoint: op, Height: height}
+	probe := record{OutPoint: op, Height: height}
 	n := len(b.asc)
 	i := sort.Search(n, func(i int) bool { return !storageLess(&b.asc[i], &probe) })
 	if i >= n || b.asc[i].OutPoint != op || b.asc[i].Height != height {
 		return false
 	}
 	copy(b.asc[i:], b.asc[i+1:])
-	b.asc[n-1] = UTXO{}
 	b.asc = b.asc[:n-1]
 	return true
 }
@@ -100,7 +100,8 @@ func (b *bucket) remove(op btc.OutPoint, height int64) bool {
 // storage slice downwards, each group emitted forward (its storage order is
 // already canonical). The zero value is an exhausted iterator.
 type AddressIter struct {
-	asc []UTXO
+	set *Set
+	asc []record
 	// cur indexes the next element of the current group [groupStart,
 	// groupEnd); when the group is exhausted the iterator advances to the
 	// group ending at groupStart.
@@ -109,18 +110,27 @@ type AddressIter struct {
 
 // Next returns the next UTXO in canonical order.
 func (it *AddressIter) Next() (UTXO, bool) {
+	r := it.next()
+	if r == nil {
+		return UTXO{}, false
+	}
+	return it.set.utxo(r), true
+}
+
+// next advances to the next stored record, nil when exhausted.
+func (it *AddressIter) next() *record {
 	if it.cur >= it.groupEnd {
 		if it.groupStart == 0 {
-			return UTXO{}, false
+			return nil
 		}
 		it.groupEnd = it.groupStart
 		h := it.asc[it.groupEnd-1].Height
 		it.groupStart = sort.Search(it.groupEnd, func(i int) bool { return it.asc[i].Height >= h })
 		it.cur = it.groupStart
 	}
-	u := it.asc[it.cur]
+	r := &it.asc[it.cur]
 	it.cur++
-	return u, true
+	return r
 }
 
 // Remaining returns the number of entries left in the stream.
@@ -134,12 +144,12 @@ func (s *Set) AddressIter(addressKey string) AddressIter {
 		return AddressIter{}
 	}
 	n := len(b.asc)
-	return AddressIter{asc: b.asc, cur: n, groupEnd: n, groupStart: n}
+	return AddressIter{set: s, asc: b.asc, cur: n, groupEnd: n, groupStart: n}
 }
 
 // cursorStorageAfter reports whether u sits strictly after the cursor
 // position in *storage* order; monotone along a bucket slice.
-func cursorStorageAfter(c pageCursor, u *UTXO) bool {
+func cursorStorageAfter(c pageCursor, u *record) bool {
 	if u.Height != c.height {
 		return u.Height > c.height
 	}
@@ -165,12 +175,12 @@ func (s *Set) addressIterAfter(addressKey string, c pageCursor) AddressIter {
 		// group's start.
 		groupEnd := q + sort.Search(n-q, func(j int) bool { return asc[q+j].Height > c.height })
 		groupStart := sort.Search(q, func(i int) bool { return asc[i].Height >= c.height })
-		return AddressIter{asc: asc, cur: q, groupEnd: groupEnd, groupStart: groupStart}
+		return AddressIter{set: s, asc: asc, cur: q, groupEnd: groupEnd, groupStart: groupStart}
 	}
 	// The cursor's height group is exhausted (or absent): everything that
 	// remains sits strictly below it.
 	p := sort.Search(n, func(i int) bool { return asc[i].Height >= c.height })
-	return AddressIter{asc: asc, cur: p, groupEnd: p, groupStart: p}
+	return AddressIter{set: s, asc: asc, cur: p, groupEnd: p, groupStart: p}
 }
 
 // AddressUTXOCount returns how many stable UTXOs an address holds.
@@ -243,9 +253,12 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress map[btc.Out
 // nextUnsuppressed advances the stable stream past suppressed outpoints.
 func nextUnsuppressed(it *AddressIter, suppress map[btc.OutPoint]bool) (UTXO, bool) {
 	for {
-		u, ok := it.Next()
-		if !ok || !suppress[u.OutPoint] {
-			return u, ok
+		r := it.next()
+		if r == nil {
+			return UTXO{}, false
+		}
+		if !suppress[r.OutPoint] {
+			return it.set.utxo(r), true
 		}
 	}
 }

@@ -10,6 +10,13 @@
 // address-decoded/hashed once and its bytes stored once — and every entry
 // remembers its derived address key, so Remove never recomputes a ScriptID.
 //
+// The stored layout holds no pointers per output, so the garbage collector
+// never scans it however large the set grows: scripts live in a dense table
+// indexed by a uint32 script ID, bucket entries are flat records carrying
+// that ID, and the outpoint index is an open-addressed table of fixed-size
+// slots (outpoints.go). A UTXO, with its PkScript slice, is materialized
+// only when read.
+//
 // The set supports applying and unapplying whole blocks (the latter is used
 // by the simulated Bitcoin nodes during reorgs; the canister itself never
 // rolls back below the anchor), balance computation, and height-descending
@@ -19,6 +26,7 @@ package utxo
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"icbtc/internal/btc"
 )
@@ -42,24 +50,31 @@ type internedScript struct {
 	refs  int
 }
 
-// entry is the stored form; script carries both the script bytes and the
-// derived address key, so spends never re-derive either.
-type entry struct {
-	value  int64
-	height int64
-	script *internedScript
+// record is the stored form of one unspent output, in both the outpoint
+// table and the address buckets: 56 bytes, no pointers. sid names the
+// interned script, which carries both the script bytes and the derived
+// address key, so spends never re-derive either.
+type record struct {
+	Value    int64
+	Height   int64
+	OutPoint btc.OutPoint
+	sid      uint32
 }
 
 // Set is an address-indexed UTXO set. The zero value is not usable; use New.
 type Set struct {
 	network btc.Network
-	// byOutPoint is the authoritative map of unspent outputs.
-	byOutPoint map[btc.OutPoint]entry
+	// outpoints is the authoritative index of unspent outputs.
+	outpoints opTable
 	// byAddress indexes ordered buckets by the ScriptID of their locking
 	// script (see index.go).
 	byAddress map[string]*bucket
-	// interned deduplicates locking scripts, keyed by the script bytes.
-	interned map[string]*internedScript
+	// scripts is the interned-script table indexed by script ID; scriptIDs
+	// finds a script's ID by its bytes, and free lists the IDs of released
+	// scripts for reuse, so the table stays as dense as the live scripts.
+	scripts   []internedScript
+	scriptIDs map[string]uint32
+	free      []uint32
 	// approxBytes tracks an estimate of resident memory, reported by Fig 5.
 	approxBytes int64
 }
@@ -67,15 +82,15 @@ type Set struct {
 // New creates an empty UTXO set for a network.
 func New(network btc.Network) *Set {
 	return &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry),
-		byAddress:  make(map[string]*bucket),
-		interned:   make(map[string]*internedScript),
+		network:   network,
+		outpoints: newOpTable(0),
+		byAddress: make(map[string]*bucket),
+		scriptIDs: make(map[string]uint32),
 	}
 }
 
 // Len returns the number of unspent outputs.
-func (s *Set) Len() int { return len(s.byOutPoint) }
+func (s *Set) Len() int { return s.outpoints.len() }
 
 // ApproxBytes returns an estimate of the set's resident size in bytes
 // (outpoint + entry overhead + script bytes), used by the Fig 5 experiment.
@@ -91,36 +106,54 @@ func (s *Set) Network() btc.Network { return s.network }
 // script itself.
 const perUTXOOverhead = 580
 
-// intern returns the single stored copy of script, creating it (one copy,
-// one ScriptID derivation) on first sight.
-func (s *Set) intern(script []byte) *internedScript {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc
+// intern returns the ID of the single stored copy of script, creating it
+// (one copy, one ScriptID derivation) on first sight.
+func (s *Set) intern(script []byte) uint32 {
+	if sid, ok := s.scriptIDs[string(script)]; ok {
+		return sid
 	}
 	return s.internWithKey(script, btc.ScriptID(script, s.network))
 }
 
 // internWithKey interns a script whose address key the caller has already
 // derived (the batched apply derives keys once per distinct script during
-// staging), skipping the re-derivation intern would pay on a miss.
-func (s *Set) internWithKey(script []byte, key string) *internedScript {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc
+// staging), skipping the re-derivation intern would pay on a miss. A new
+// script takes a released ID when there is one.
+func (s *Set) internWithKey(script []byte, key string) uint32 {
+	if sid, ok := s.scriptIDs[string(script)]; ok {
+		return sid
 	}
 	cp := make([]byte, len(script))
 	copy(cp, script)
-	sc := &internedScript{bytes: cp, key: key}
-	s.interned[string(cp)] = sc
-	return sc
+	sc := internedScript{bytes: cp, key: key}
+	var sid uint32
+	if n := len(s.free); n > 0 {
+		sid = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.scripts[sid] = sc
+	} else {
+		sid = uint32(len(s.scripts))
+		s.scripts = append(s.scripts, sc)
+	}
+	s.scriptIDs[string(cp)] = sid
+	return sid
 }
 
 // release drops one reference to an interned script, un-interning it when
 // the last UTXO carrying it is spent so the table cannot grow unboundedly.
-func (s *Set) release(sc *internedScript) {
+func (s *Set) release(sid uint32) {
+	sc := &s.scripts[sid]
 	sc.refs--
 	if sc.refs == 0 {
-		delete(s.interned, string(sc.bytes))
+		delete(s.scriptIDs, string(sc.bytes))
+		*sc = internedScript{}
+		s.free = append(s.free, sid)
 	}
+}
+
+// utxo materializes the stored record r.
+func (s *Set) utxo(r *record) UTXO {
+	return UTXO{OutPoint: r.OutPoint, Value: r.Value, PkScript: s.scripts[r.sid].bytes, Height: r.Height}
 }
 
 // ScriptInterned reports whether the set already holds an interned copy of
@@ -128,29 +161,31 @@ func (s *Set) release(sc *internedScript) {
 // decode and hash. The execution layer's metering uses this to price
 // insertions (Fig 6). The lookup itself allocates nothing.
 func (s *Set) ScriptInterned(script []byte) bool {
-	_, ok := s.interned[string(script)]
+	_, ok := s.scriptIDs[string(script)]
 	return ok
 }
 
 // InternedScripts returns the number of distinct locking scripts currently
 // interned (observability).
-func (s *Set) InternedScripts() int { return len(s.interned) }
+func (s *Set) InternedScripts() int { return len(s.scriptIDs) }
 
 // Add inserts an unspent output. Adding a duplicate outpoint is an error
 // (it would indicate a consensus bug upstream).
 func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
-	if _, dup := s.byOutPoint[op]; dup {
+	if s.outpoints.has(op) {
 		return fmt.Errorf("utxo: duplicate outpoint %s", op)
 	}
-	sc := s.intern(out.PkScript)
+	sid := s.intern(out.PkScript)
+	sc := &s.scripts[sid]
 	sc.refs++
-	s.byOutPoint[op] = entry{value: out.Value, height: height, script: sc}
+	r := record{Value: out.Value, Height: height, OutPoint: op, sid: sid}
+	s.outpoints.insert(r)
 	b := s.byAddress[sc.key]
 	if b == nil {
 		b = &bucket{}
 		s.byAddress[sc.key] = b
 	}
-	b.insert(UTXO{OutPoint: op, Value: out.Value, PkScript: sc.bytes, Height: height})
+	b.insert(r)
 	b.balance += out.Value
 	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
 	return nil
@@ -162,40 +197,40 @@ var ErrMissingOutput = errors.New("utxo: output not in set")
 // Remove spends an output, returning the removed UTXO so callers can build
 // undo data. The stored address key is reused — no script decoding.
 func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
-	e, ok := s.byOutPoint[op]
+	r, ok := s.outpoints.remove(op)
 	if !ok {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 	}
-	delete(s.byOutPoint, op)
-	if b := s.byAddress[e.script.key]; b != nil {
-		b.remove(op, e.height)
-		b.balance -= e.value
+	sc := &s.scripts[r.sid]
+	if b := s.byAddress[sc.key]; b != nil {
+		b.remove(op, r.Height)
+		b.balance -= r.Value
 		if len(b.asc) == 0 {
-			delete(s.byAddress, e.script.key)
+			delete(s.byAddress, sc.key)
 		}
 	}
-	s.approxBytes -= int64(perUTXOOverhead + len(e.script.bytes))
-	u := UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}
-	s.release(e.script)
+	s.approxBytes -= int64(perUTXOOverhead + len(sc.bytes))
+	u := s.utxo(&r)
+	s.release(r.sid)
 	return u, nil
 }
 
 // Get returns the UTXO for an outpoint if present.
 func (s *Set) Get(op btc.OutPoint) (UTXO, bool) {
-	e, ok := s.byOutPoint[op]
+	r, ok := s.outpoints.get(op)
 	if !ok {
 		return UTXO{}, false
 	}
-	return UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}, true
+	return s.utxo(&r), true
 }
 
 // AddressKeyOf returns the memoized address key of an unspent outpoint.
 func (s *Set) AddressKeyOf(op btc.OutPoint) (string, bool) {
-	e, ok := s.byOutPoint[op]
+	r, ok := s.outpoints.get(op)
 	if !ok {
 		return "", false
 	}
-	return e.script.key, true
+	return s.scripts[r.sid].key, true
 }
 
 // BlockUndo records everything needed to unapply a block. Outputs both
@@ -342,8 +377,8 @@ type blockStage struct {
 // keyOf derives (memoized) the address key of a script during staging,
 // reusing the interned table's stored key whenever the script is known.
 func (st *blockStage) keyOf(s *Set, script []byte) string {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc.key
+	if sid, ok := s.scriptIDs[string(script)]; ok {
+		return s.scripts[sid].key
 	}
 	if key, ok := st.keys[string(script)]; ok {
 		return key
@@ -357,8 +392,8 @@ func (st *blockStage) keyOf(s *Set, script []byte) string {
 // references plus the staged delta.
 func (st *blockStage) internedNow(s *Set, script []byte) bool {
 	refs := st.refDelta[string(script)]
-	if sc, ok := s.interned[string(script)]; ok {
-		refs += sc.refs
+	if sid, ok := s.scriptIDs[string(script)]; ok {
+		refs += s.scripts[sid].refs
 	}
 	return refs > 0
 }
@@ -399,12 +434,13 @@ func (s *Set) stageBlock(block *btc.Block, height int64, strict bool) *blockStag
 					st.refDelta[string(ins.out.PkScript)]--
 					continue
 				}
-				if e, ok := s.byOutPoint[op]; ok && !st.removedSet[op] {
+				if r, ok := s.outpoints.get(op); ok && !st.removedSet[op] {
 					st.removedSet[op] = true
 					st.removedBase = append(st.removedBase, op)
-					st.spentBase = append(st.spentBase, UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height})
+					u := s.utxo(&r)
+					st.spentBase = append(st.spentBase, u)
 					st.removed++
-					st.refDelta[string(e.script.bytes)]--
+					st.refDelta[string(u.PkScript)]--
 					continue
 				}
 				if strict {
@@ -427,7 +463,7 @@ func (s *Set) stageBlock(block *btc.Block, height int64, strict bool) *blockStag
 					st.outputsFresh++
 				}
 			}
-			_, inBase := s.byOutPoint[op]
+			inBase := s.outpoints.has(op)
 			_, inStaged := st.liveIdx[op]
 			if (inBase && !st.removedSet[op]) || inStaged {
 				if strict {
@@ -448,7 +484,7 @@ func (s *Set) stageBlock(block *btc.Block, height int64, strict bool) *blockStag
 
 // commitStage applies a completed stage to the set: ordered base removals
 // first, then the surviving insertions grouped per address bucket, each
-// bucket merged in one pass. The resulting set — outpoint map, interned
+// bucket merged in one pass. The resulting set — outpoint table, interned
 // table and reference counts, bucket contents and balances, byte estimate —
 // is identical to what the per-entry loop would have produced.
 func (s *Set) commitStage(st *blockStage, height int64) {
@@ -460,27 +496,37 @@ func (s *Set) commitStage(st *blockStage, height int64) {
 		return
 	}
 	// Group surviving inserts by address key in first-insertion order.
-	groups := make(map[string][]UTXO, len(st.keys)+len(st.liveIdx)/4+1)
+	groups := make(map[string][]record, len(st.keys)+len(st.liveIdx)/4+1)
 	var order []string
 	for i := range st.inserts {
 		ins := &st.inserts[i]
 		if !ins.live {
 			continue
 		}
-		sc := s.internWithKey(ins.out.PkScript, ins.key)
+		sid := s.internWithKey(ins.out.PkScript, ins.key)
+		sc := &s.scripts[sid]
 		sc.refs++
-		s.byOutPoint[ins.op] = entry{value: ins.out.Value, height: height, script: sc}
+		r := record{Value: ins.out.Value, Height: height, OutPoint: ins.op, sid: sid}
+		s.outpoints.insert(r)
 		s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
 		if _, ok := groups[ins.key]; !ok {
 			order = append(order, ins.key)
 		}
-		groups[ins.key] = append(groups[ins.key], UTXO{OutPoint: ins.op, Value: ins.out.Value, PkScript: sc.bytes, Height: height})
+		groups[ins.key] = append(groups[ins.key], r)
 	}
 	for _, key := range order {
 		list := groups[key]
-		// All entries share the block's height, so the canonical sort is
-		// the storage order within the height group.
-		SortUTXOs(list)
+		// All entries share the block's height, so the storage order is the
+		// txid/vout tie-break.
+		slices.SortFunc(list, func(a, b record) int {
+			switch {
+			case storageLess(&a, &b):
+				return -1
+			case storageLess(&b, &a):
+				return 1
+			}
+			return 0
+		})
 		b := s.byAddress[key]
 		if b == nil {
 			b = &bucket{}
@@ -545,11 +591,7 @@ func (s *Set) UTXOsForAddress(addressKey string) []UTXO {
 func (s *Set) AddressCount() int { return len(s.byAddress) }
 
 // ForEach visits every UTXO in unspecified order; visit returning false
-// stops the walk.
+// stops the walk. visit must not modify the set.
 func (s *Set) ForEach(visit func(UTXO) bool) {
-	for op, e := range s.byOutPoint {
-		if !visit(UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}) {
-			return
-		}
-	}
+	s.outpoints.each(func(r record) bool { return visit(s.utxo(&r)) })
 }
